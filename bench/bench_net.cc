@@ -114,6 +114,44 @@ void BM_NetRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_NetRoundTrip);
 
+// RESULT body encoding alone, no sockets. range(0) picks the result shape:
+// 0 = 400 rows x (string, int), 1 = 2000 rows x (string, set of 3).
+// range(1) picks the path: 0 = RenderServed + EncodeResult (a string per
+// cell, then a copy into the body), 1 = AppendServedResult (cells rendered
+// straight into the body). Both produce the same bytes.
+void BM_Net_EncodeResult(benchmark::State& state) {
+  using eds::value::Value;
+  const bool sets = state.range(0) == 1;
+  const size_t nrows = sets ? 2000 : 400;
+  ServedQuery served;
+  served.result.columns = {"Title", sets ? "Categories" : "Numf"};
+  for (size_t r = 0; r < nrows; ++r) {
+    const int64_t n = static_cast<int64_t>(r);
+    Value second =
+        sets ? Value::Set({Value::String("Comedy"), Value::String("Drama"),
+                           Value::String("Genre " + std::to_string(r % 7))})
+             : Value::Int(n * 7919);
+    served.result.rows.push_back(
+        {Value::String("Film " + std::to_string(r)), std::move(second)});
+  }
+  const bool direct = state.range(1) == 1;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string body;
+    if (direct) {
+      eds::net::AppendServedResult(served, &body);
+    } else {
+      body = eds::net::EncodeResult(eds::net::RenderServed(served));
+    }
+    bytes += body.size();
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * nrows));
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_Net_EncodeResult)->ArgsProduct({{0, 1}, {0, 1}});
+
 // The same workload through Submit() directly — no sockets, no string
 // rendering of rows. The delta against BM_NetRoundTrip is the wire tax.
 void BM_NetInProcessSubmit(benchmark::State& state) {

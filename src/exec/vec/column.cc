@@ -223,23 +223,18 @@ bool Batch::FromRows(const std::vector<std::vector<Value>>& rows,
   return true;
 }
 
-std::vector<std::vector<Value>> Batch::ToRows() const {
+std::vector<std::vector<Value>> Batch::ToRows(
+    const SelectionVector* sel) const {
+  const size_t n = sel == nullptr ? rows : sel->size();
   std::vector<std::vector<Value>> out;
-  out.reserve(rows);
-  for (size_t r = 0; r < rows; ++r) {
+  out.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    const size_t r = sel == nullptr ? k : (*sel)[k];
     std::vector<Value> row;
     row.reserve(cols.size());
     for (const ColumnVector& c : cols) row.push_back(c.ValueAt(r));
     out.push_back(std::move(row));
   }
-  return out;
-}
-
-Batch Batch::GatherRows(const SelectionVector& sel) const {
-  Batch out;
-  out.rows = sel.size();
-  out.cols.reserve(cols.size());
-  for (const ColumnVector& c : cols) out.cols.push_back(c.Gather(sel));
   return out;
 }
 

@@ -101,8 +101,9 @@ struct Batch {
   // tables never are, but derived row sets can be.
   static bool FromRows(const std::vector<std::vector<value::Value>>& rows,
                        Batch* out);
-  std::vector<std::vector<value::Value>> ToRows() const;
-  Batch GatherRows(const SelectionVector& sel) const;
+  // The rows, or only rows sel[0..k) when `sel` is given.
+  std::vector<std::vector<value::Value>> ToRows(
+      const SelectionVector* sel = nullptr) const;
 };
 
 }  // namespace eds::exec::vec

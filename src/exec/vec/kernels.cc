@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "term/term.h"
+#include "value/collection_lib.h"
 
 namespace eds::exec::vec {
 namespace {
@@ -43,57 +44,134 @@ constexpr uint64_t kNullCellHash = 0x7fb5d329728ea185ULL;
 
 constexpr uint64_t kRowHashSeed = 0x84222325cbf29ce4ULL;
 
+inline int Sign(int64_t x, int64_t y) { return x < y ? -1 : (x > y ? 1 : 0); }
+inline int Sign(double x, double y) { return x < y ? -1 : (x > y ? 1 : 0); }
+
 template <typename Pred>
-ColumnVector CompareImpl(const ColumnVector& a, const ColumnVector& b,
-                         Pred pred) {
-  const size_t n = a.size();
+ColumnVector CompareImpl(ColumnView va, ColumnView vb, size_t n, Pred pred) {
+  const ColumnVector& a = *va.col;
+  const ColumnVector& b = *vb.col;
   std::vector<uint8_t> out(n, 0);
   std::vector<uint64_t> valid;
   size_t nulls = 0;
   const bool clean = a.all_valid() && b.all_valid();
   if (clean && a.lane() == Lane::kInt64 && b.lane() == Lane::kInt64) {
     for (size_t i = 0; i < n; ++i) {
-      const int64_t x = a.IntAt(i), y = b.IntAt(i);
-      out[i] = pred(x < y ? -1 : (x > y ? 1 : 0)) ? 1 : 0;
+      out[i] = pred(Sign(a.IntAt(va.Cell(i)), b.IntAt(vb.Cell(i)))) ? 1 : 0;
     }
   } else if (clean && a.is_numeric_lane() && b.is_numeric_lane()) {
     for (size_t i = 0; i < n; ++i) {
-      const double x = a.NumericAt(i), y = b.NumericAt(i);
-      out[i] = pred(x < y ? -1 : (x > y ? 1 : 0)) ? 1 : 0;
+      out[i] =
+          pred(Sign(a.NumericAt(va.Cell(i)), b.NumericAt(vb.Cell(i)))) ? 1 : 0;
     }
   } else {
     valid.assign((n + 63) >> 6, 0);
     for (size_t i = 0; i < n; ++i) {
-      if (a.IsNull(i) || b.IsNull(i)) {
+      const size_t x = va.Cell(i), y = vb.Cell(i);
+      if (a.IsNull(x) || b.IsNull(y)) {
         ++nulls;
         continue;
       }
       valid[i >> 6] |= uint64_t{1} << (i & 63);
-      out[i] = pred(a.CompareCells(i, b, i)) ? 1 : 0;
+      out[i] = pred(a.CompareCells(x, b, y)) ? 1 : 0;
     }
   }
   return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
 }
 
+// `cell op s` (or `s op cell` under kScalarLeft) per logical row, reading
+// typed lanes directly; other lanes go through value::Compare.
+template <bool kScalarLeft, typename Pred>
+ColumnVector CompareScalarImpl(ColumnView va, const Value& s, size_t n,
+                               Pred pred) {
+  const ColumnVector& a = *va.col;
+  std::vector<uint8_t> out(n, 0);
+  std::vector<uint64_t> valid;
+  size_t nulls = 0;
+  if (s.is_null()) {
+    valid.assign((n + 63) >> 6, 0);  // NULL operand: every row NULL
+    return ColumnVector::FromBoolData(std::move(out), std::move(valid), n);
+  }
+  auto run = [&](auto cmp_at) {
+    if (a.all_valid()) {
+      for (size_t i = 0; i < n; ++i) out[i] = pred(cmp_at(va.Cell(i))) ? 1 : 0;
+      return;
+    }
+    valid.assign((n + 63) >> 6, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t x = va.Cell(i);
+      if (a.IsNull(x)) {
+        ++nulls;
+        continue;
+      }
+      valid[i >> 6] |= uint64_t{1} << (i & 63);
+      out[i] = pred(cmp_at(x)) ? 1 : 0;
+    }
+  };
+  auto order = [](auto cell, auto scalar) {
+    return kScalarLeft ? Sign(scalar, cell) : Sign(cell, scalar);
+  };
+  if (a.lane() == Lane::kInt64 && s.kind() == ValueKind::kInt) {
+    const int64_t y = s.AsInt();
+    run([&](size_t x) { return order(a.IntAt(x), y); });
+  } else if (a.is_numeric_lane() && s.is_numeric()) {
+    const double y = s.AsReal();
+    run([&](size_t x) { return order(a.NumericAt(x), y); });
+  } else if (a.lane() == Lane::kGeneric) {
+    run([&](size_t x) {
+      return kScalarLeft ? value::Compare(s, a.GenericAt(x))
+                         : value::Compare(a.GenericAt(x), s);
+    });
+  } else {
+    run([&](size_t x) {
+      return kScalarLeft ? value::Compare(s, a.ValueAt(x))
+                         : value::Compare(a.ValueAt(x), s);
+    });
+  }
+  return ColumnVector::FromBoolData(std::move(out), std::move(valid), nulls);
+}
+
+// Calls fn with the predicate over value::Compare's sign that `op` tests.
+template <typename Fn>
+auto WithCmpPred(CmpOp op, Fn fn) {
+  switch (op) {
+    case CmpOp::kNe: return fn([](int c) { return c != 0; });
+    case CmpOp::kLt: return fn([](int c) { return c < 0; });
+    case CmpOp::kLe: return fn([](int c) { return c <= 0; });
+    case CmpOp::kGt: return fn([](int c) { return c > 0; });
+    case CmpOp::kGe: return fn([](int c) { return c >= 0; });
+    case CmpOp::kEq: break;
+  }
+  return fn([](int c) { return c == 0; });
+}
+
 }  // namespace
 
-ColumnVector CompareColumns(CmpOp op, const ColumnVector& a,
-                            const ColumnVector& b) {
-  switch (op) {
-    case CmpOp::kEq:
-      return CompareImpl(a, b, [](int c) { return c == 0; });
-    case CmpOp::kNe:
-      return CompareImpl(a, b, [](int c) { return c != 0; });
-    case CmpOp::kLt:
-      return CompareImpl(a, b, [](int c) { return c < 0; });
-    case CmpOp::kLe:
-      return CompareImpl(a, b, [](int c) { return c <= 0; });
-    case CmpOp::kGt:
-      return CompareImpl(a, b, [](int c) { return c > 0; });
-    case CmpOp::kGe:
-      return CompareImpl(a, b, [](int c) { return c >= 0; });
+ColumnVector CompareColumns(CmpOp op, ColumnView a, ColumnView b, size_t n) {
+  return WithCmpPred(op, [&](auto pred) { return CompareImpl(a, b, n, pred); });
+}
+
+ColumnVector CompareScalar(CmpOp op, ColumnView a, const Value& scalar,
+                           bool scalar_left, size_t n) {
+  return WithCmpPred(op, [&](auto pred) {
+    return scalar_left ? CompareScalarImpl<true>(a, scalar, n, pred)
+                       : CompareScalarImpl<false>(a, scalar, n, pred);
+  });
+}
+
+Result<ColumnVector> MemberScalar(const Value& elem, ColumnView coll,
+                                  size_t n) {
+  std::vector<uint8_t> out(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t x = coll.Cell(i);
+    // Typed lanes hold scalars or NULLs, never collections.
+    if (coll.col->lane() != Lane::kGeneric ||
+        !coll.col->GenericAt(x).is_collection()) {
+      return Status::TypeError("MEMBER: expected a collection");
+    }
+    out[i] = value::CollectionContains(coll.col->GenericAt(x), elem) ? 1 : 0;
   }
-  return CompareImpl(a, b, [](int c) { return c == 0; });
+  return ColumnVector::FromBoolData(std::move(out), {}, 0);
 }
 
 Result<ColumnVector> AndColumns(const ColumnVector& a, const ColumnVector& b) {

@@ -16,11 +16,31 @@ namespace eds::exec::vec {
 
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-// EQ/NE/LT/LE/GT/GE over two equal-length columns: NULL operand -> NULL,
-// otherwise Bool(pred(value::Compare)). Never errors (comparisons are
+// A column read at a selection: logical row r is cell (*idx)[r], or cell r
+// when idx is null. Kernels take views so a filter or join residual reads
+// a batch column where it lies instead of gathering it first.
+struct ColumnView {
+  const ColumnVector* col = nullptr;
+  const SelectionVector* idx = nullptr;
+
+  size_t Cell(size_t r) const { return idx == nullptr ? r : (*idx)[r]; }
+};
+
+// EQ/NE/LT/LE/GT/GE over `n` logical rows of two views: NULL operand ->
+// NULL, otherwise Bool(pred(value::Compare)). Never errors (comparisons are
 // defined across kinds via the total order).
-ColumnVector CompareColumns(CmpOp op, const ColumnVector& a,
-                            const ColumnVector& b);
+ColumnVector CompareColumns(CmpOp op, ColumnView a, ColumnView b, size_t n);
+
+// The same comparison against one constant, without broadcasting it:
+// `a op scalar`, or `scalar op a` when scalar_left.
+ColumnVector CompareScalar(CmpOp op, ColumnView a, const value::Value& scalar,
+                           bool scalar_left, size_t n);
+
+// MEMBER(elem, cell) over `n` logical rows (value::CollectionContains);
+// TypeError when a cell is not a collection, NULL included, as the MEMBER
+// builtin raises.
+Result<ColumnVector> MemberScalar(const value::Value& elem, ColumnView coll,
+                                  size_t n);
 
 // Three-valued AND/OR/NOT over columns; errors when a row that is not
 // decided by FALSE/TRUE-domination has a non-boolean operand (the scalar

@@ -45,17 +45,51 @@ struct StageCtx {
   ExecStats* stats = nullptr;
 };
 
-// A frame where input `k` is the only bound input, mapped onto a
-// standalone batch (inputs 1..k-1 get zero-width ranges, so a stray
-// reference to them errors instead of aliasing the wrong column).
-vec::ExprFrame RightFrame(const vec::Batch* batch, size_t k,
-                          const StageCtx& sc) {
+// Which columns of each input (inputs[i][j]: column j + 1 of input i + 1)
+// some expression still reads.
+using ColumnNeeds = std::vector<std::vector<bool>>;
+
+void MarkNeeds(const TermRef& expr, ColumnNeeds* needs) {
+  std::vector<lera::AttrRef> attrs;
+  lera::CollectAttrs(expr, &attrs);
+  for (const lera::AttrRef& a : attrs) {
+    if (a.input < 1 || static_cast<size_t>(a.input) > needs->size()) continue;
+    std::vector<bool>& cols = (*needs)[static_cast<size_t>(a.input) - 1];
+    if (a.column >= 1 && static_cast<size_t>(a.column) <= cols.size()) {
+      cols[static_cast<size_t>(a.column) - 1] = true;
+    }
+  }
+}
+
+vec::ExprFrame MakeFrame(size_t rows, const StageCtx& sc) {
   vec::ExprFrame frame;
-  frame.batch = batch;
-  frame.offsets.assign(k, 0);
-  frame.offsets.push_back(static_cast<uint32_t>(batch->cols.size()));
+  frame.rows = rows;
   frame.db = sc.db;
   frame.library = sc.library;
+  return frame;
+}
+
+// Appends inputs 1..offsets.size()-1 of the combination batch `left`, read
+// at `rows` (null: every row).
+void AddLeftInputs(const vec::Batch& left, const std::vector<uint32_t>& offsets,
+                   const vec::SelectionVector* rows, vec::ExprFrame* frame) {
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    frame->inputs.push_back(vec::ExprFrame::Over(
+        left, offsets[i], offsets[i + 1] - offsets[i], rows));
+  }
+}
+
+// A frame where input `k` is the only bound input, read at `rows` (null:
+// every row); inputs 1..k-1 get zero-width ranges, so a stray reference to
+// them errors instead of aliasing the wrong column.
+vec::ExprFrame RightFrame(const vec::Batch& batch,
+                          const vec::SelectionVector* rows, size_t k,
+                          const StageCtx& sc) {
+  vec::ExprFrame frame =
+      MakeFrame(rows == nullptr ? batch.rows : rows->size(), sc);
+  frame.inputs.resize(k - 1);
+  frame.inputs.push_back(vec::ExprFrame::Over(
+      batch, 0, static_cast<uint32_t>(batch.cols.size()), rows));
   return frame;
 }
 
@@ -63,17 +97,22 @@ vec::ExprFrame RightFrame(const vec::Batch* batch, size_t k,
 // (columns of inputs 1..k-1, rows in lexicographic combination order) with
 // input k. `conjuncts` are this level's conjuncts (every one references
 // input k and nothing higher). They split into
-//   - rhs-only conjuncts (reference input k alone): pre-filter input k;
+//   - rhs-only conjuncts (reference input k alone): narrow input k's row
+//     selection;
 //   - equi conjuncts (EQ with one side over inputs 1..k-1 and the other
 //     over input k, hash-compatible keys): one multi-key hash join;
-//   - everything else: residual columnar filters over the joined batch.
-// The hash join emits pairs in (left asc, right asc) order, so the
-// combined batch stays in exactly the row engine's emission order.
-// `offsets` (size k) gains input k's width on return.
+//   - everything else: residual filters narrowing the matched pairs.
+// Filters only ever refine row indices; column data is gathered once, at
+// the end, and only for the columns `needs` marks (read by a later stage
+// or the output) — the others stay empty. The hash join emits pairs in
+// (left asc, right asc) order and every refinement keeps order, so the
+// combined batch is in exactly the row engine's emission order. `offsets`
+// (size k) gains input k's width on return.
 Result<vec::Batch> JoinStage(const vec::Batch& left,
                              std::vector<uint32_t>* offsets,
                              const vec::Batch& right, size_t k,
-                             const TermList& conjuncts, const StageCtx& sc) {
+                             const TermList& conjuncts,
+                             const ColumnNeeds& needs, const StageCtx& sc) {
   TermList rhs_only, residual;
   std::vector<std::array<TermRef, 2>> equi;  // {prev-side, k-side}
   for (const TermRef& c : conjuncts) {
@@ -117,33 +156,32 @@ Result<vec::Batch> JoinStage(const vec::Batch& left,
     if (!is_equi) residual.push_back(c);
   }
 
-  const uint32_t right_width = static_cast<uint32_t>(right.cols.size());
-  vec::Batch filtered;
-  const vec::Batch* rightp = &right;
+  // Input k's surviving rows; null until a filter narrows them.
+  vec::SelectionVector right_sel;
+  const vec::SelectionVector* right_rows = nullptr;
   for (const TermRef& c : rhs_only) {
-    vec::ExprFrame rf = RightFrame(rightp, k, sc);
-    sc.stats->qual_evaluations += rightp->rows;
+    vec::ExprFrame rf = RightFrame(right, right_rows, k, sc);
+    sc.stats->qual_evaluations += rf.rows;
     EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
                          vec::EvalPredicateBatch(c, rf));
     ++sc.stats->batches;
-    sc.stats->vec_rows += rightp->rows;
-    vec::Batch next = rightp->GatherRows(sel);
-    filtered = std::move(next);
-    rightp = &filtered;
+    sc.stats->vec_rows += rf.rows;
+    right_sel = right_rows == nullptr ? std::move(sel)
+                                      : vec::Compose(right_sel, sel);
+    right_rows = &right_sel;
   }
+  const size_t right_count =
+      right_rows == nullptr ? right.rows : right_rows->size();
 
   vec::JoinPairs pairs;
-  if (left.rows != 0 && rightp->rows != 0) {
+  if (left.rows != 0 && right_count != 0) {
     std::vector<vec::ColumnPtr> lcols, rcols;
     std::vector<const vec::ColumnVector*> lraw, rraw;
     std::vector<vec::HashClass> classes;
     if (!equi.empty()) {
-      vec::ExprFrame lf;
-      lf.batch = &left;
-      lf.offsets = *offsets;
-      lf.db = sc.db;
-      lf.library = sc.library;
-      vec::ExprFrame rf = RightFrame(rightp, k, sc);
+      vec::ExprFrame lf = MakeFrame(left.rows, sc);
+      AddLeftInputs(left, *offsets, nullptr, &lf);
+      vec::ExprFrame rf = RightFrame(right, right_rows, k, sc);
       for (const auto& [prev_side, cur_side] : equi) {
         EDS_ASSIGN_OR_RETURN(vec::ColumnPtr lc,
                              vec::EvalExprBatch(prev_side, lf));
@@ -161,7 +199,7 @@ Result<vec::Batch> JoinStage(const vec::Batch& left,
         // row engine would have probed (|left| x |right|) — not the O(n+m)
         // hash-join work, so cost comparisons against the row path (e.g.
         // semi-naive vs naive deltas) stay meaningful.
-        sc.stats->qual_evaluations += left.rows * rightp->rows;
+        sc.stats->qual_evaluations += left.rows * right_count;
         lcols.push_back(lc);
         rcols.push_back(rc);
         lraw.push_back(lc.get());
@@ -172,41 +210,108 @@ Result<vec::Batch> JoinStage(const vec::Batch& left,
     if (!lraw.empty()) {
       EDS_ASSIGN_OR_RETURN(pairs,
                            vec::HashJoin(lraw, rraw, classes, left.rows,
-                                         rightp->rows, kMaxJoinPairs));
+                                         right_count, kMaxJoinPairs));
     } else {
       EDS_ASSIGN_OR_RETURN(
-          pairs, vec::CrossPairs(left.rows, rightp->rows, kMaxCrossPairs));
+          pairs, vec::CrossPairs(left.rows, right_count, kMaxCrossPairs));
     }
   }
   ++sc.stats->batches;
   sc.stats->vec_rows += pairs.left.size();
-
-  vec::Batch combined;
-  combined.rows = pairs.left.size();
-  combined.cols.reserve(left.cols.size() + right_width);
-  for (const vec::ColumnVector& c : left.cols) {
-    combined.cols.push_back(c.Gather(pairs.left));
+  // The pairs index the selected rows of input k; map them to its cells.
+  if (right_rows != nullptr) {
+    for (uint32_t& r : pairs.right) r = right_sel[r];
   }
-  for (const vec::ColumnVector& c : rightp->cols) {
-    combined.cols.push_back(c.Gather(pairs.right));
-  }
-  offsets->push_back(offsets->back() + right_width);
 
   for (const TermRef& c : residual) {
-    vec::ExprFrame cf;
-    cf.batch = &combined;
-    cf.offsets = *offsets;
-    cf.db = sc.db;
-    cf.library = sc.library;
-    sc.stats->qual_evaluations += combined.rows;
+    vec::ExprFrame cf = MakeFrame(pairs.left.size(), sc);
+    AddLeftInputs(left, *offsets, &pairs.left, &cf);
+    cf.inputs.push_back(vec::ExprFrame::Over(
+        right, 0, static_cast<uint32_t>(right.cols.size()), &pairs.right));
+    sc.stats->qual_evaluations += cf.rows;
     EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
                          vec::EvalPredicateBatch(c, cf));
     ++sc.stats->batches;
-    sc.stats->vec_rows += combined.rows;
-    vec::Batch next = combined.GatherRows(sel);
-    combined = std::move(next);
+    sc.stats->vec_rows += cf.rows;
+    pairs.left = vec::Compose(pairs.left, sel);
+    pairs.right = vec::Compose(pairs.right, sel);
+  }
+
+  const uint32_t right_width = static_cast<uint32_t>(right.cols.size());
+  offsets->push_back(offsets->back() + right_width);
+  vec::Batch combined;
+  combined.rows = pairs.left.size();
+  combined.cols.resize(offsets->back());
+  for (size_t i = 0; i < k; ++i) {
+    const bool is_right = i + 1 == k;
+    const vec::Batch& src = is_right ? right : left;
+    const vec::SelectionVector& at = is_right ? pairs.right : pairs.left;
+    const uint32_t first = is_right ? 0 : (*offsets)[i];
+    for (uint32_t j = 0; j < (*offsets)[i + 1] - (*offsets)[i]; ++j) {
+      if (needs[i][j]) {
+        combined.cols[(*offsets)[i] + j] = src.cols[first + j].Gather(at);
+      }
+    }
   }
   return combined;
+}
+
+// Runs the nested-loop levels 1..n over the inputs' batches, level k's
+// conjuncts applied at stage k, and returns the combination batch: one
+// column per input column, rows in the row engine's emission order. Only
+// the columns `output` marks, or a later stage reads, are materialized.
+Result<vec::Batch> RunStages(const std::vector<const vec::Batch*>& inputs,
+                             const std::vector<TermList>& conjuncts_at,
+                             ColumnNeeds output, const StageCtx& sc,
+                             gov::QueryGuard* guard) {
+  const size_t n = inputs.size();
+  // needs_after[k]: what stages after k and the output read.
+  std::vector<ColumnNeeds> needs_after(n + 1);
+  needs_after[n] = std::move(output);
+  for (size_t k = n; k > 1; --k) {
+    needs_after[k - 1] = needs_after[k];
+    for (const TermRef& c : conjuncts_at[k]) MarkNeeds(c, &needs_after[k - 1]);
+  }
+  // The combination batch starts as the empty prefix (one row, no
+  // columns) and gains one input per stage.
+  vec::Batch acc;
+  acc.rows = 1;
+  std::vector<uint32_t> offsets{0};
+  for (size_t k = 1; k <= n; ++k) {
+    if (guard != nullptr && guard->Check()) return guard->TripStatus();
+    EDS_ASSIGN_OR_RETURN(acc, JoinStage(acc, &offsets, *inputs[k - 1], k,
+                                        conjuncts_at[k], needs_after[k], sc));
+    if (acc.rows == 0) break;
+  }
+  return acc;
+}
+
+// Evaluates the projection list over the frame and assembles output rows.
+Result<Rows> ProjectRows(const TermList& projections,
+                         const vec::ExprFrame& frame, ExecStats* stats) {
+  std::vector<vec::ColumnPtr> cols;
+  cols.reserve(projections.size());
+  for (const TermRef& p : projections) {
+    EDS_ASSIGN_OR_RETURN(vec::ColumnPtr col, vec::EvalExprBatch(p, frame));
+    ++stats->batches;
+    stats->vec_rows += frame.rows;
+    cols.push_back(std::move(col));
+  }
+  Rows out;
+  out.reserve(frame.rows);
+  for (size_t r = 0; r < frame.rows; ++r) {
+    Row row;
+    row.reserve(cols.size());
+    for (const vec::ColumnPtr& col : cols) row.push_back(col->ValueAt(r));
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+ColumnNeeds NoNeeds(const std::vector<const vec::Batch*>& inputs) {
+  ColumnNeeds needs;
+  for (const vec::Batch* b : inputs) needs.emplace_back(b->cols.size(), false);
+  return needs;
 }
 
 }  // namespace
@@ -270,44 +375,22 @@ Result<Rows> Executor::EvalSearchWithInputsVec(
     if (in_batches[i]->rows == 0) return Rows{};
   }
 
-  // The combination batch: starts as the empty prefix (one row, no
-  // columns), gains one input per stage.
-  vec::Batch acc;
-  acc.rows = 1;
-  std::vector<uint32_t> offsets{0};
   StageCtx sc{db_, &catalog_->functions(), &stats_};
-  for (size_t k = 1; k <= n; ++k) {
-    if (options_.guard != nullptr && options_.guard->Check()) {
-      return options_.guard->TripStatus();
-    }
-    EDS_ASSIGN_OR_RETURN(
-        acc, JoinStage(acc, &offsets, *in_batches[k - 1], k,
-                       conjuncts_at[k], sc));
-    if (acc.rows == 0) return Rows{};
-  }
+  ColumnNeeds output = NoNeeds(in_batches);
+  for (const TermRef& p : projections) MarkNeeds(p, &output);
+  EDS_ASSIGN_OR_RETURN(vec::Batch acc,
+                       RunStages(in_batches, conjuncts_at, std::move(output),
+                                 sc, options_.guard));
+  if (acc.rows == 0) return Rows{};
 
-  vec::ExprFrame pf;
-  pf.batch = &acc;
-  pf.offsets = offsets;
-  pf.db = db_;
-  pf.library = &catalog_->functions();
-  std::vector<vec::ColumnPtr> outcols;
-  outcols.reserve(projections.size());
-  for (const TermRef& p : projections) {
-    EDS_ASSIGN_OR_RETURN(vec::ColumnPtr col, vec::EvalExprBatch(p, pf));
-    ++stats_.batches;
-    stats_.vec_rows += acc.rows;
-    outcols.push_back(std::move(col));
+  vec::ExprFrame pf = MakeFrame(acc.rows, sc);
+  uint32_t first = 0;
+  for (const vec::Batch* b : in_batches) {
+    const uint32_t width = static_cast<uint32_t>(b->cols.size());
+    pf.inputs.push_back(vec::ExprFrame::Over(acc, first, width, nullptr));
+    first += width;
   }
-  Rows out;
-  out.reserve(acc.rows);
-  for (size_t r = 0; r < acc.rows; ++r) {
-    Row row;
-    row.reserve(outcols.size());
-    for (const vec::ColumnPtr& col : outcols) row.push_back(col->ValueAt(r));
-    out.push_back(std::move(row));
-  }
-  return out;
+  return ProjectRows(projections, pf, &stats_);
 }
 
 Result<const Rows*> Executor::ChildRows(const term::TermRef& t,
@@ -340,17 +423,14 @@ Result<Rows> Executor::EvalFilterVec(const term::TermRef& t,
     }
     tb = &conv;
   }
-  vec::ExprFrame frame;
-  frame.batch = tb;
-  frame.offsets = {0, static_cast<uint32_t>(tb->cols.size())};
-  frame.db = db_;
-  frame.library = &catalog_->functions();
+  StageCtx sc{db_, &catalog_->functions(), &stats_};
+  vec::ExprFrame frame = RightFrame(*tb, nullptr, 1, sc);
   stats_.qual_evaluations += tb->rows;
   EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
                        vec::EvalPredicateBatch(t->arg(1), frame));
   ++stats_.batches;
   stats_.vec_rows += tb->rows;
-  Rows out = tb->GatherRows(sel).ToRows();
+  Rows out = tb->ToRows(&sel);
   // The row path charges borrowed children through the child's Eval; the
   // vectorized path charges at the end so a fallback never double-counts.
   if (borrowed && options_.guard != nullptr &&
@@ -377,28 +457,10 @@ Result<Rows> Executor::EvalProjectVec(const term::TermRef& t,
     }
     tb = &conv;
   }
-  const TermList& projections = t->arg(1)->args();
-  vec::ExprFrame frame;
-  frame.batch = tb;
-  frame.offsets = {0, static_cast<uint32_t>(tb->cols.size())};
-  frame.db = db_;
-  frame.library = &catalog_->functions();
-  std::vector<vec::ColumnPtr> cols;
-  cols.reserve(projections.size());
-  for (const TermRef& p : projections) {
-    EDS_ASSIGN_OR_RETURN(vec::ColumnPtr col, vec::EvalExprBatch(p, frame));
-    ++stats_.batches;
-    stats_.vec_rows += tb->rows;
-    cols.push_back(std::move(col));
-  }
-  Rows out;
-  out.reserve(tb->rows);
-  for (size_t r = 0; r < tb->rows; ++r) {
-    Row row;
-    row.reserve(cols.size());
-    for (const vec::ColumnPtr& col : cols) row.push_back(col->ValueAt(r));
-    out.push_back(std::move(row));
-  }
+  StageCtx sc{db_, &catalog_->functions(), &stats_};
+  EDS_ASSIGN_OR_RETURN(
+      Rows out,
+      ProjectRows(t->arg(1)->args(), RightFrame(*tb, nullptr, 1, sc), &stats_));
   if (borrowed && options_.guard != nullptr &&
       options_.guard->AddRows(child->size())) {
     return options_.guard->TripStatus();
@@ -452,25 +514,14 @@ Result<Rows> Executor::EvalJoinVec(const term::TermRef& t, const FixEnv& env) {
       }
     }
     if (!level0_false) {
+      // A JOIN is a two-input SEARCH that outputs every column.
+      const std::vector<const vec::Batch*> in_batches{ba, bb};
+      ColumnNeeds output = NoNeeds(in_batches);
+      for (std::vector<bool>& cols : output) cols.assign(cols.size(), true);
       StageCtx sc{db_, &catalog_->functions(), &stats_};
-      vec::Batch fa;
-      const vec::Batch* leftp = ba;
-      for (const TermRef& c : conjuncts_at[1]) {
-        vec::ExprFrame lf = RightFrame(leftp, 1, sc);
-        stats_.qual_evaluations += leftp->rows;
-        EDS_ASSIGN_OR_RETURN(vec::SelectionVector sel,
-                             vec::EvalPredicateBatch(c, lf));
-        ++stats_.batches;
-        stats_.vec_rows += leftp->rows;
-        vec::Batch next = leftp->GatherRows(sel);
-        fa = std::move(next);
-        leftp = &fa;
-      }
-      std::vector<uint32_t> offsets{0,
-                                    static_cast<uint32_t>(ba->cols.size())};
-      EDS_ASSIGN_OR_RETURN(
-          vec::Batch combined,
-          JoinStage(*leftp, &offsets, *bb, 2, conjuncts_at[2], sc));
+      EDS_ASSIGN_OR_RETURN(vec::Batch combined,
+                           RunStages(in_batches, conjuncts_at,
+                                     std::move(output), sc, options_.guard));
       out = combined.ToRows();
     }
   }

@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "srv/codec.h"
@@ -25,17 +26,53 @@ uint32_t ReadLe32(const char* p) {
          static_cast<uint32_t>(b[2]) << 16 | static_cast<uint32_t>(b[3]) << 24;
 }
 
+// Overwrites 4 bytes at `pos` with v, little-endian (the codec's order).
+void StoreLe32(std::string* out, size_t pos, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*out)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Everything of an OK RESULT body before the cells: [ok=1][l0][cache]
+// [epochs][serve_ns][columns][row count]. Shared by both encoders.
+void PutResultHead(bool l0_hit, bool cache_hit, uint64_t catalog_epoch,
+                   uint64_t rules_epoch, uint64_t serve_ns,
+                   const std::vector<std::string>& columns, size_t nrows,
+                   srv::Encoder* enc) {
+  enc->PutU8(1);
+  enc->PutU8(l0_hit ? 1 : 0);
+  enc->PutU8(cache_hit ? 1 : 0);
+  enc->PutU64(catalog_epoch);
+  enc->PutU64(rules_epoch);
+  enc->PutU64(serve_ns);
+  enc->PutU32(static_cast<uint32_t>(columns.size()));
+  for (const std::string& c : columns) enc->PutString(c);
+  enc->PutU32(static_cast<uint32_t>(nrows));
+}
+
 }  // namespace
+
+size_t BeginFrame(MsgType type, uint64_t request_id, std::string* out) {
+  const size_t start = out->size();
+  out->append(8, '\0');  // [u32 payload_len][u32 payload_crc], patched later
+  srv::Encoder enc(out);
+  enc.PutU8(static_cast<uint8_t>(type));
+  enc.PutU64(request_id);
+  return start;
+}
+
+void FinishFrame(size_t start, std::string* out) {
+  const size_t payload = start + 8;
+  const std::string_view bytes(out->data() + payload, out->size() - payload);
+  StoreLe32(out, start, static_cast<uint32_t>(bytes.size()));
+  StoreLe32(out, start + 4, srv::Crc32(bytes));
+}
 
 void AppendFrame(MsgType type, uint64_t request_id, std::string_view body,
                  std::string* out) {
-  std::string payload;
-  payload.reserve(1 + 8 + body.size());
-  srv::Encoder enc(&payload);
-  enc.PutU8(static_cast<uint8_t>(type));
-  enc.PutU64(request_id);
-  payload.append(body.data(), body.size());
-  srv::AppendRecord(payload, out);
+  const size_t start = BeginFrame(type, request_id, out);
+  out->append(body.data(), body.size());
+  FinishFrame(start, out);
 }
 
 FrameStatus NextFrame(std::string* buffer, size_t max_frame_bytes, Frame* out,
@@ -157,19 +194,13 @@ Result<CancelMsg> DecodeCancel(std::string_view body) {
 std::string EncodeResult(const ResultMsg& m) {
   std::string out;
   srv::Encoder enc(&out);
-  enc.PutU8(m.ok ? 1 : 0);
   if (!m.ok) {
+    enc.PutU8(0);
     enc.PutString(m.error);
     return out;
   }
-  enc.PutU8(m.l0_hit ? 1 : 0);
-  enc.PutU8(m.cache_hit ? 1 : 0);
-  enc.PutU64(m.catalog_epoch);
-  enc.PutU64(m.rules_epoch);
-  enc.PutU64(m.serve_ns);
-  enc.PutU32(static_cast<uint32_t>(m.columns.size()));
-  for (const std::string& c : m.columns) enc.PutString(c);
-  enc.PutU32(static_cast<uint32_t>(m.rows.size()));
+  PutResultHead(m.l0_hit, m.cache_hit, m.catalog_epoch, m.rules_epoch,
+                m.serve_ns, m.columns, m.rows.size(), &enc);
   // The decoder reads exactly columns.size() cells per row; a ragged row
   // written verbatim would silently desync every cell after it. Pad or
   // truncate so a malformed ResultMsg can never corrupt the stream.
@@ -263,6 +294,28 @@ std::vector<std::string> RenderRow(const exec::Row& row) {
   out.reserve(row.size());
   for (const value::Value& v : row) out.push_back(v.ToString());
   return out;
+}
+
+void AppendServedResult(const srv::ServedQuery& served, std::string* out) {
+  const exec::QueryResult& result = served.result;
+  srv::Encoder enc(out);
+  PutResultHead(served.l0_hit, served.cache_hit, served.catalog_epoch,
+                served.rules_epoch, served.serve_ns, result.columns,
+                result.rows.size(), &enc);
+  // Same pad/truncate rule as EncodeResult: exactly columns.size() cells
+  // per row, whatever the row's arity.
+  const size_t ncols = result.columns.size();
+  for (const exec::Row& row : result.rows) {
+    const size_t cells = std::min(ncols, row.size());
+    for (size_t c = 0; c < cells; ++c) {
+      // [u32 len][text]: render in place, then patch the length prefix.
+      const size_t len_at = out->size();
+      enc.PutU32(0);
+      value::AppendText(out, row[c]);
+      StoreLe32(out, len_at, static_cast<uint32_t>(out->size() - len_at - 4));
+    }
+    for (size_t c = cells; c < ncols; ++c) enc.PutU32(0);
+  }
 }
 
 ResultMsg RenderServed(const srv::ServedQuery& served) {

@@ -82,7 +82,9 @@ struct CancelMsg {
 // RESULT carries either an error string or the rendered result set plus
 // serving metadata. Rows travel as text (Value::ToString per cell): the
 // concurrent-client stress proves byte-identical bags against in-process
-// serving rendered through the same function.
+// serving rendered through the same text form. The server encodes OK
+// results with AppendServedResult (no ResultMsg); this struct is the
+// decoded form and the encoder for error/EXEC replies.
 struct ResultMsg {
   bool ok = false;
   std::string error;  // set when !ok
@@ -110,6 +112,14 @@ struct ErrorMsg {
 // to `out`.
 void AppendFrame(MsgType type, uint64_t request_id, std::string_view body,
                  std::string* out);
+
+// In-place frame assembly, for bodies encoded straight into the outbound
+// buffer: BeginFrame appends the record header (length and CRC left as
+// placeholders) plus [type][request_id] and returns the frame's start
+// offset; the caller appends the body to `out`; FinishFrame(start, out)
+// fills in the length and CRC. The bytes equal AppendFrame's.
+size_t BeginFrame(MsgType type, uint64_t request_id, std::string* out);
+void FinishFrame(size_t start, std::string* out);
 
 // One parsed frame.
 struct Frame {
@@ -162,6 +172,13 @@ ResultMsg RenderServed(const srv::ServedQuery& served);
 
 // Renders one executor row as text cells (Value::ToString per cell).
 std::vector<std::string> RenderRow(const exec::Row& row);
+
+// Appends the RESULT body of a served query to `out`, rendering each cell
+// straight into the buffer (value::AppendText) with no intermediate
+// ResultMsg or per-cell string. Byte-identical to
+// EncodeResult(RenderServed(served)), ragged rows padded/truncated alike;
+// the server's worker path encodes every OK result through this.
+void AppendServedResult(const srv::ServedQuery& served, std::string* out);
 
 }  // namespace eds::net
 

@@ -224,6 +224,8 @@ void Server::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->Gauge("net.connections.active", static_cast<double>(active));
   registry->Gauge("net.queries.pending",
                   static_cast<double>(pending_total_.load()));
+  obs::ExportHistogramQuantiles("net.latency.encode",
+                                encode_latency_.Snapshot(), registry);
 }
 
 void Server::WakePoller() {
@@ -582,21 +584,33 @@ void Server::HandleQuery(const ConnPtr& conn, const Frame& f) {
   service_->SubmitWithCallback(
       std::move(q->esql), opts,
       [this, conn, pending, id](Result<srv::ServedQuery> served) {
-        ResultMsg msg;
+        // Rows are rendered once, straight into the outbound frame.
+        const uint64_t t0 = obs::NowNs();
+        std::string frame;
+        const size_t start = BeginFrame(MsgType::kResult, id, &frame);
         if (served.ok()) {
-          msg = RenderServed(*served);
+          AppendServedResult(*served, &frame);
         } else {
-          msg.ok = false;
+          ResultMsg msg;
           msg.error = served.status().message();
+          frame += EncodeResult(msg);
         }
-        (void)SendFrame(conn, MsgType::kResult, id, EncodeResult(msg));
+        FinishFrame(start, &frame);
+        encode_latency_.Record(obs::NowNs() - t0);
+        (void)SendEncoded(conn, frame);
         FinishPending(conn, id);
       });
 }
 
 Status Server::SendFrame(const ConnPtr& conn, MsgType type,
                          uint64_t request_id, std::string_view body) {
-  Status s = SendFrameImpl(conn, type, request_id, body);
+  std::string frame;
+  AppendFrame(type, request_id, body, &frame);
+  return SendEncoded(conn, frame);
+}
+
+Status Server::SendEncoded(const ConnPtr& conn, std::string_view frame) {
+  Status s = SendFrameImpl(conn, frame);
   if (!s.ok()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -608,12 +622,9 @@ Status Server::SendFrame(const ConnPtr& conn, MsgType type,
   return s;
 }
 
-Status Server::SendFrameImpl(const ConnPtr& conn, MsgType type,
-                             uint64_t request_id, std::string_view body) {
+Status Server::SendFrameImpl(const ConnPtr& conn, std::string_view frame) {
   Status injected = FailWrite();
   if (!injected.ok()) return injected;
-  std::string frame;
-  AppendFrame(type, request_id, body, &frame);
   std::lock_guard<std::mutex> lock(conn->write_mu);
   if (conn->closed) return Status::RuntimeError("connection closed");
   size_t off = 0;

@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "gov/governor.h"
 #include "net/protocol.h"
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "srv/service.h"
@@ -170,13 +171,14 @@ class Server {
   bool DrainFrames(const ConnPtr& conn);
   bool Dispatch(const ConnPtr& conn, const Frame& frame);  // false: close
   void HandleQuery(const ConnPtr& conn, const Frame& frame);
-  // Writes one frame; thread-safe vs. Close. A failure counts a write
-  // error and schedules the connection for teardown.
+  // Frames `body` and writes it (SendEncoded).
   Status SendFrame(const ConnPtr& conn, MsgType type, uint64_t request_id,
                    std::string_view body);
+  // Writes one complete frame; thread-safe vs. Close. A failure counts a
+  // write error and schedules the connection for teardown.
+  Status SendEncoded(const ConnPtr& conn, std::string_view frame);
   // The raw write path. EDS_FAIL_POINT("net.write") lives here.
-  Status SendFrameImpl(const ConnPtr& conn, MsgType type, uint64_t request_id,
-                       std::string_view body);
+  Status SendFrameImpl(const ConnPtr& conn, std::string_view frame);
   // Convenience: ERROR frame + schedule close (protocol_errors tally).
   void ProtocolError(const ConnPtr& conn, uint64_t request_id,
                      const std::string& message);
@@ -207,6 +209,9 @@ class Server {
   std::map<int, ConnPtr> conns_;  // by fd
   ServerStats stats_;
   uint64_t next_session_id_ = 1;
+  // Worker-side render + encode of each QUERY's RESULT frame, ns
+  // (net.latency.encode).
+  obs::Histogram encode_latency_;
 
   // Drain accounting: callbacks outstanding across all connections.
   std::atomic<uint64_t> pending_total_{0};

@@ -5,6 +5,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/strings.h"
 #include "lera/lera.h"
 #include "lera/schema.h"
 #include "obs/trace.h"
@@ -110,6 +111,25 @@ class ScopeKeyBuilder {
   uint64_t h_ = 14695981039346656037ULL;
 };
 
+// Whether one of the rule's constraints is ISA(<its lhs>, CONSTANT), the
+// type name written as a variable or a string, in any case (as EvalIsa
+// reads it).
+bool FoldsOwnLhs(const Rule& rule) {
+  for (const TermRef& c : rule.constraints) {
+    if (!c->IsApply("ISA", 2) || !term::Equals(c->arg(0), rule.lhs)) continue;
+    const TermRef& type = c->arg(1);
+    std::string name;
+    if (type->is_variable()) {
+      name = type->var_name();
+    } else if (type->is_constant() &&
+               type->constant().kind() == value::ValueKind::kString) {
+      name = type->constant().AsString();
+    }
+    if (ToUpperAscii(name) == "CONSTANT") return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Engine::Engine(const catalog::Catalog* cat, const BuiltinRegistry* builtins,
@@ -127,31 +147,32 @@ Engine::Engine(const catalog::Catalog* cat, const BuiltinRegistry* builtins,
       }
     }
     for (const Rule& rule : block.rules) {
+      const Candidate cand{&rule, FoldsOwnLhs(rule)};
       if (rule.lhs->is_variable()) {
-        index.generic_apply.push_back(&rule);
-        index.var_only.push_back(&rule);
+        index.generic_apply.push_back(cand);
+        index.var_only.push_back(cand);
         for (const std::string& f : functors) {
-          index.merged_by_functor[f].push_back(&rule);
+          index.merged_by_functor[f].push_back(cand);
         }
       } else if (rule.lhs->is_apply() && rule.lhs->functor().front() == '?') {
-        index.generic_apply.push_back(&rule);
+        index.generic_apply.push_back(cand);
         for (const std::string& f : functors) {
-          index.merged_by_functor[f].push_back(&rule);
+          index.merged_by_functor[f].push_back(cand);
         }
       } else if (rule.lhs->is_apply()) {
-        index.merged_by_functor[rule.lhs->functor()].push_back(&rule);
+        index.merged_by_functor[rule.lhs->functor()].push_back(cand);
       } else {
         // Constant-rooted left terms are legal but pointless; keep them in
         // the generic list so they still get tried.
-        index.generic_apply.push_back(&rule);
-        index.var_only.push_back(&rule);
+        index.generic_apply.push_back(cand);
+        index.var_only.push_back(cand);
       }
     }
     block_indexes_.push_back(std::move(index));
   }
 }
 
-const std::vector<const Rule*>& Engine::BlockIndex::Candidates(
+const std::vector<Engine::Candidate>& Engine::BlockIndex::Candidates(
     const term::TermRef& node) const {
   if (!node->is_apply()) return var_only;
   auto it = merged_by_functor.find(node->functor());
@@ -218,8 +239,8 @@ term::TermRef Engine::TryRulesAt(const term::TermRef& node,
   // rule's span bounds. Off by default, making the whole observability
   // surface a single predictable branch per candidate.
   const bool timed = state->profile || state->sink != nullptr;
-  for (const Rule* rule_ptr : index.Candidates(node)) {
-    const Rule& rule = *rule_ptr;
+  for (const Candidate& cand : index.Candidates(node)) {
+    const Rule& rule = *cand.rule;
     if (*budget == 0) return nullptr;
     // Governor chokepoint: rule-candidate consideration is the engine's
     // innermost loop, so deadline/cancellation latency is bounded by a few
@@ -246,6 +267,12 @@ term::TermRef Engine::TryRulesAt(const term::TermRef& node,
     // This is a rule-condition check: it burns budget (§4.2).
     ++state->stats.condition_checks;
     if (*budget > 0) --*budget;
+    // A ground-only rule cannot fire here. The check still counts and
+    // charges the budget as above, so skipping Match changes no plan.
+    if (cand.ground_only && !node->ground()) {
+      if (prof != nullptr) prof->ns += obs::NowNs() - t0;
+      continue;
+    }
 
     TermRef rewritten;
     Match(rule.lhs, node, term::Bindings(),

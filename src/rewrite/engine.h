@@ -147,17 +147,25 @@ class Engine {
   struct RunState;
   struct Scope;
 
+  // A rule as the index hands it out. `ground_only` marks a rule with a
+  // constraint ISA(<its own lhs>, CONSTANT) (the eval_fold rules): that
+  // constraint folds the matched node, which fails at any variable leaf,
+  // so the rule can never fire on a non-ground node.
+  struct Candidate {
+    const Rule* rule = nullptr;
+    bool ground_only = false;
+  };
+
   // Per-block discrimination index: rules keyed by their left term's root
   // functor, so a node only pays for the rules that could match it. Each
   // per-functor list is pre-merged (in block order) with the generic rules
   // — functor-variable roots match any application, variable roots match
   // anything.
   struct BlockIndex {
-    std::map<std::string, std::vector<const Rule*>> merged_by_functor;
-    std::vector<const Rule*> generic_apply;  // ?F- and var-rooted rules
-    std::vector<const Rule*> var_only;       // var-rooted rules
-    const std::vector<const Rule*>& Candidates(
-        const term::TermRef& node) const;
+    std::map<std::string, std::vector<Candidate>> merged_by_functor;
+    std::vector<Candidate> generic_apply;  // ?F- and var-rooted rules
+    std::vector<Candidate> var_only;       // var-rooted rules
+    const std::vector<Candidate>& Candidates(const term::TermRef& node) const;
   };
 
   // Attempts a single rule application anywhere in `node` (pre-order) using

@@ -6,6 +6,14 @@
 
 namespace eds::value {
 
+bool CollectionContains(const Value& coll, const Value& elem) {
+  const auto& es = coll.elements();
+  if (coll.kind() == ValueKind::kSet || coll.kind() == ValueKind::kBag) {
+    return std::binary_search(es.begin(), es.end(), elem);
+  }
+  return std::find(es.begin(), es.end(), elem) != es.end();
+}
+
 namespace {
 
 Status Arity(const std::string& name, const std::vector<Value>& args,
@@ -208,11 +216,7 @@ Result<Value> Lower(const std::vector<Value>& args) {
 Result<Value> Member(const std::vector<Value>& args) {
   EDS_RETURN_IF_ERROR(Arity("MEMBER", args, 2));
   EDS_RETURN_IF_ERROR(WantCollection("MEMBER", args[1]));
-  const auto& es = args[1].elements();
-  if (args[1].kind() == ValueKind::kSet || args[1].kind() == ValueKind::kBag) {
-    return Value::Bool(std::binary_search(es.begin(), es.end(), args[0]));
-  }
-  return Value::Bool(std::find(es.begin(), es.end(), args[0]) != es.end());
+  return Value::Bool(CollectionContains(args[1], args[0]));
 }
 
 Result<Value> IsEmpty(const std::vector<Value>& args) {

@@ -11,6 +11,12 @@
 
 namespace eds::value {
 
+// MEMBER's test: whether `coll` (which must be a collection) holds an
+// element equal to `elem` — binary search over sorted sets and bags, a scan
+// over lists and arrays. Shared by the MEMBER builtin and the columnar
+// executor's MEMBER(literal, column) kernel so the two cannot drift.
+bool CollectionContains(const Value& coll, const Value& elem);
+
 // A pure function over values: no access to the database state. These are
 // the "ADT function library" of the paper — the collection functions of
 // Fig. 1 plus scalar arithmetic, comparison and string functions. Both the

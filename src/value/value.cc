@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "common/strings.h"
 
@@ -237,58 +238,94 @@ int Compare(const Value& a, const Value& b) {
 
 bool operator==(const Value& a, const Value& b) { return Compare(a, b) == 0; }
 
-std::string Value::ToString() const {
-  std::ostringstream os;
-  os << *this;
-  return os.str();
+namespace {
+
+void AppendElements(std::string* out, const std::vector<Value>& es) {
+  for (size_t i = 0; i < es.size(); ++i) {
+    if (i > 0) out->append(", ");
+    AppendText(out, es[i]);
+  }
 }
 
-std::ostream& operator<<(std::ostream& os, const Value& v) {
+template <typename Int>
+void AppendInteger(std::string* out, Int v) {
+  char buf[24];  // 20 digits + sign covers every 64-bit value
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+}  // namespace
+
+void AppendText(std::string* out, const Value& v) {
   switch (v.kind()) {
     case ValueKind::kNull:
-      return os << "NULL";
+      out->append("NULL");
+      return;
     case ValueKind::kBool:
-      return os << (v.AsBool() ? "TRUE" : "FALSE");
+      out->append(v.AsBool() ? "TRUE" : "FALSE");
+      return;
     case ValueKind::kInt:
-      return os << v.AsInt();
-    case ValueKind::kReal:
-      return os << v.AsReal();
+      AppendInteger(out, v.AsInt());
+      return;
+    case ValueKind::kReal: {
+      // "%g" is exactly what an ostream's default float formatting prints
+      // (precision 6, no floatfield flags), inf/nan spellings included.
+      char buf[32];
+      const int n = std::snprintf(buf, sizeof(buf), "%g", v.AsReal());
+      out->append(buf, static_cast<size_t>(n));
+      return;
+    }
     case ValueKind::kString:
-      return os << '\'' << v.AsString() << '\'';
+      out->push_back('\'');
+      out->append(v.AsString());
+      out->push_back('\'');
+      return;
     case ValueKind::kObjectRef:
-      return os << "<oid:" << v.AsObjectRef() << '>';
+      out->append("<oid:");
+      AppendInteger(out, v.AsObjectRef());
+      out->push_back('>');
+      return;
     case ValueKind::kTuple: {
       const TupleData& t = v.tuple();
-      os << '(';
+      out->push_back('(');
       for (size_t i = 0; i < t.values.size(); ++i) {
-        if (i > 0) os << ", ";
-        if (!t.names.empty()) os << t.names[i] << ": ";
-        os << t.values[i];
+        if (i > 0) out->append(", ");
+        if (!t.names.empty()) {
+          out->append(t.names[i]);
+          out->append(": ");
+        }
+        AppendText(out, t.values[i]);
       }
-      return os << ')';
+      out->push_back(')');
+      return;
     }
     case ValueKind::kSet:
     case ValueKind::kBag: {
-      os << (v.kind() == ValueKind::kSet ? "{" : "{|");
-      const auto& es = v.elements();
-      for (size_t i = 0; i < es.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << es[i];
-      }
-      return os << (v.kind() == ValueKind::kSet ? "}" : "|}");
+      const bool set = v.kind() == ValueKind::kSet;
+      out->append(set ? "{" : "{|");
+      AppendElements(out, v.elements());
+      out->append(set ? "}" : "|}");
+      return;
     }
     case ValueKind::kList:
-    case ValueKind::kArray: {
-      os << '[';
-      const auto& es = v.elements();
-      for (size_t i = 0; i < es.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << es[i];
-      }
-      return os << ']';
-    }
+    case ValueKind::kArray:
+      out->push_back('[');
+      AppendElements(out, v.elements());
+      out->push_back(']');
+      return;
   }
-  return os;
+}
+
+std::string Value::ToString() const {
+  std::string out;
+  AppendText(&out, *this);
+  return out;
+}
+
+std::ostream& operator<<(std::ostream& os, const Value& v) {
+  std::string text;
+  AppendText(&text, v);
+  return os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 }  // namespace eds::value

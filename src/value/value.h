@@ -2,6 +2,7 @@
 #define EDS_VALUE_VALUE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -159,6 +160,11 @@ inline bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 inline bool operator<(const Value& a, const Value& b) {
   return Compare(a, b) < 0;
 }
+
+// Appends v's text (the Value::ToString form) to *out without going
+// through iostreams: the renderer for result rows on the wire, and the one
+// implementation behind both ToString and operator<<.
+void AppendText(std::string* out, const Value& v);
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 

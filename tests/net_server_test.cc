@@ -98,6 +98,54 @@ TEST_F(NetServerTest, QueryOverWireMatchesInProcess) {
   EXPECT_EQ(wire->rules_epoch, expected.rules_epoch);
 }
 
+// The worker encodes RESULT bodies straight from the served rows
+// (AppendServedResult); they must equal the ResultMsg path byte for byte.
+TEST_F(NetServerTest, DirectResultBodyMatchesRenderedPath) {
+  StartServer();
+  for (const char* q :
+       {"SELECT Winner, Loser FROM BEATS WHERE Winner > 3",
+        "SELECT Winner FROM BEATS WHERE Winner > 100",  // no rows
+        "SELECT Numf, Title, Categories FROM FILM",     // strings and sets
+        "SELECT F.Title FROM FILM F, APPEARS_IN A WHERE F.Numf = A.Numf"}) {
+    auto served = service_->Submit(q).get();
+    ASSERT_TRUE(served.ok()) << q << ": " << served.status().ToString();
+    std::string direct;
+    AppendServedResult(*served, &direct);
+    EXPECT_EQ(direct, EncodeResult(RenderServed(*served))) << q;
+  }
+  // Ragged rows are padded or truncated to the column count alike.
+  srv::ServedQuery ragged;
+  ragged.result.columns = {"a", "b"};
+  ragged.result.rows = {{value::Value::Int(1)},
+                        {value::Value::Int(2), value::Value::String("x"),
+                         value::Value::Real(0.5)},
+                        {}};
+  ragged.l0_hit = true;
+  ragged.catalog_epoch = 3;
+  ragged.serve_ns = 12345;
+  std::string direct;
+  AppendServedResult(ragged, &direct);
+  EXPECT_EQ(direct, EncodeResult(RenderServed(ragged)));
+  auto decoded = DecodeResult(direct);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->rows,
+            (std::vector<std::vector<std::string>>{
+                {"1", ""}, {"2", "'x'"}, {"", ""}}));
+  // A failed query's body is the error string on both paths, and the
+  // framed bytes equal AppendFrame's.
+  auto failed = service_->Submit("SELECT X FROM NO_SUCH_TABLE").get();
+  ASSERT_FALSE(failed.ok());
+  ResultMsg error;
+  error.error = failed.status().message();
+  std::string framed;
+  const size_t start = BeginFrame(MsgType::kResult, 7, &framed);
+  framed += EncodeResult(error);
+  FinishFrame(start, &framed);
+  std::string reference;
+  AppendFrame(MsgType::kResult, 7, EncodeResult(error), &reference);
+  EXPECT_EQ(framed, reference);
+}
+
 TEST_F(NetServerTest, QueryErrorsTravelAsFailedResults) {
   StartServer();
   auto client = Dial();

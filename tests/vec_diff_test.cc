@@ -164,5 +164,61 @@ TEST(VecDiffTest, ScanAndOutputTalliesMatchRowEngine) {
   EXPECT_EQ(row_stats.batches, 0u);
 }
 
+// Plans whose filters refine one selection vector instead of gathering
+// after every conjunct: many column-vs-literal conjuncts (literal on
+// either side, int/real/string literals against int columns), MEMBER of a
+// literal in a set-valued column, and joins whose residual conjuncts
+// narrow the matched pairs. Compared as rendered text, so value kinds and
+// row order both count.
+TEST(VecDiffTest, SelectionVectorFiltersMatchRowEngine) {
+  testutil::FilmDb db;
+  const char* kPlans[] = {
+      // 10 literal conjuncts over one input.
+      "SEARCH(LIST(RELATION('BEATS')), (($1.1 > 1) AND ($1.1 < 9) AND "
+      "($1.2 <> 5) AND (2 <= $1.2) AND ($1.1 <> 7) AND ($1.2 >= 3) AND "
+      "(10 > $1.1) AND ($1.1 < 8.5) AND ($1.1 <> 'x') AND ($1.2 = $1.2)), "
+      "LIST($1.2, $1.1))",
+      // MEMBER(literal, column), plain and negated, in SEARCH and FILTER.
+      "SEARCH(LIST(RELATION('FILM')), MEMBER('Adventure', $1.3), "
+      "LIST($1.1, $1.2))",
+      "SEARCH(LIST(RELATION('FILM')), ((NOT MEMBER('Science Fiction', $1.3)) "
+      "AND ($1.1 > 0)), LIST($1.2, $1.3))",
+      "FILTER(RELATION('FILM'), MEMBER('Comedy', $1.3))",
+      // Joins with residual conjuncts after the equi key, including
+      // literal and MEMBER residuals on a later input.
+      "SEARCH(LIST(RELATION('BEATS'), RELATION('BEATS')), "
+      "(($1.2 = $2.1) AND ($1.1 < $2.2) AND ($2.2 <> 6) AND ($1.1 <> 4)), "
+      "LIST($2.2, $1.1))",
+      "SEARCH(LIST(RELATION('BEATS'), RELATION('BEATS'), RELATION('FILM')), "
+      "(($1.2 = $2.1) AND ($3.1 = $1.1) AND ($1.1 < $2.2) AND "
+      "MEMBER('Adventure', $3.3) AND ($2.1 <> $3.1)), "
+      "LIST($1.1, $2.2, $3.2))",
+      "JOIN(RELATION('BEATS'), RELATION('BEATS'), "
+      "(($1.2 = $2.1) AND ($1.1 < $2.2) AND ($1.1 <> 4) AND (3 < $2.2)))",
+  };
+  for (const char* text : kPlans) {
+    auto plan = term::ParseTerm(text);
+    ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
+    ExecOptions on, off;
+    on.vectorized = true;
+    off.vectorized = false;
+    ExecStats vec_stats, row_stats;
+    auto vec = db.session.Run(*plan, on, &vec_stats);
+    auto row = db.session.Run(*plan, off, &row_stats);
+    ASSERT_TRUE(vec.ok()) << text << ": " << vec.status().ToString();
+    ASSERT_TRUE(row.ok()) << text << ": " << row.status().ToString();
+    ASSERT_FALSE(row->empty()) << text;  // not vacuous
+    ExpectSameSequence(*vec, *row, text);
+    for (size_t i = 0; i < vec->size() && i < row->size(); ++i) {
+      for (size_t j = 0; j < (*vec)[i].size(); ++j) {
+        EXPECT_EQ((*vec)[i][j].ToString(), (*row)[i][j].ToString()) << text;
+      }
+    }
+    EXPECT_EQ(vec_stats.vec_fallbacks, 0u) << text;
+    EXPECT_GT(vec_stats.batches, 0u) << text;
+    EXPECT_EQ(row_stats.batches, 0u) << text;
+  }
+}
+
 }  // namespace
 }  // namespace eds::exec
